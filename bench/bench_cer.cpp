@@ -69,6 +69,7 @@ struct Cell {
   std::uint64_t shed = 0;
   std::uint64_t query_compiled = 0;
   std::uint64_t query_rejected = 0;
+  std::uint64_t query_cache_hits = 0;
 };
 
 Cell run_cell(const QuerySpec& query, unsigned sessions, unsigned shards,
@@ -134,6 +135,7 @@ Cell run_cell(const QuerySpec& query, unsigned sessions, unsigned shards,
   cell.shed = stats.shed;
   cell.query_compiled = stats.query_compiled;
   cell.query_rejected = stats.query_rejected;
+  cell.query_cache_hits = stats.query_cache_hits;
   if (manager.collect().size() != sessions)
     std::cerr << "WARNING: report count != sessions\n";
   return cell;
@@ -222,6 +224,7 @@ int main(int argc, char** argv) {
                            .field("shed", cell.shed)
                            .field("query_compiled", cell.query_compiled)
                            .field("query_rejected", cell.query_rejected)
+                           .field("query_cache_hits", cell.query_cache_hits)
                            .str());
       }
     }

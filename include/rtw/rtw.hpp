@@ -48,6 +48,7 @@
 
 // cer: timed-pattern queries -> clocked position automata -> acceptors.
 #include "rtw/cer/acceptor.hpp"
+#include "rtw/cer/cache.hpp"
 #include "rtw/cer/compile.hpp"
 #include "rtw/cer/parser.hpp"
 #include "rtw/cer/query.hpp"

@@ -22,6 +22,10 @@
 /// after which some accepting configuration existed (the ticks where a
 /// hypothetical output tape would carry f), first_f the first such
 /// timestamp.
+///
+/// The compiled automaton is shared, read-only, by every acceptor built
+/// from it; the acceptor owns only its configuration set and verdict
+/// bookkeeping, so one compile serves any number of live sessions.
 
 #include <memory>
 
@@ -32,7 +36,8 @@ namespace rtw::cer {
 
 class CerAcceptor final : public core::OnlineAcceptor {
 public:
-  explicit CerAcceptor(CompiledQuery compiled);
+  /// `compiled` must be non-null.
+  explicit CerAcceptor(std::shared_ptr<const CompiledQuery> compiled);
 
   core::Verdict feed(core::Symbol symbol, core::Tick at) override;
   using core::OnlineAcceptor::feed;
@@ -42,7 +47,7 @@ public:
   void reset() override;
   std::string name() const override;
 
-  const CompiledQuery& compiled() const noexcept { return compiled_; }
+  const CompiledQuery& compiled() const noexcept { return *compiled_; }
   /// Live configurations (post-dedup) -- exposed for tests/bench.
   std::size_t config_count() const noexcept { return configs_.size(); }
 
@@ -55,7 +60,7 @@ private:
   void step(core::Symbol symbol, core::Tick at);
   bool any_accepting() const;
 
-  CompiledQuery compiled_;
+  std::shared_ptr<const CompiledQuery> compiled_;
   std::vector<Config> configs_;
   std::vector<Config> next_;  ///< scratch, reused across feeds
   core::Verdict verdict_ = core::Verdict::Undetermined;
@@ -70,8 +75,8 @@ private:
 std::unique_ptr<core::OnlineAcceptor> make_online_acceptor(
     const Query& query, CompileLimits limits = {});
 
-/// Wraps an already-compiled query (no failure path).
+/// Wraps an already-compiled query, sharing it (no failure path).
 std::unique_ptr<core::OnlineAcceptor> make_online_acceptor(
-    CompiledQuery compiled);
+    std::shared_ptr<const CompiledQuery> compiled);
 
 }  // namespace rtw::cer

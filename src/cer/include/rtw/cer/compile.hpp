@@ -32,9 +32,13 @@
 /// transitions) are caught by CompileLimits and reported as an error
 /// result -- queries come from untrusted clients, so the serving layer
 /// turns a limit hit into a refused open, never an allocation storm.
+///
+/// The compiled automaton is immutable and handed out behind a
+/// shared_ptr<const>: every session of one query shares one table, and
+/// all per-session state (the configuration set) lives in the acceptor.
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +50,8 @@ namespace rtw::cer {
 using StateId = std::uint32_t;
 
 /// Structural ceilings applied during compilation.  Defaults are sized
-/// for wire-submitted queries (a few hundred bytes of text).
+/// for wire-submitted queries (a few hundred bytes of text).  The state
+/// count includes the start state, so the default admits 255 leaves.
 struct CompileLimits {
   std::uint32_t max_states = 256;
   std::uint32_t max_transitions = 4096;
@@ -84,10 +89,10 @@ struct CompiledQuery {
 /// Outcome of compilation: `ok()` implies `compiled` is set, otherwise
 /// `error` says which limit (or structural rule) was violated.
 struct CompileResult {
-  std::optional<CompiledQuery> compiled;
+  std::shared_ptr<const CompiledQuery> compiled;
   std::string error;
 
-  bool ok() const noexcept { return compiled.has_value(); }
+  bool ok() const noexcept { return compiled != nullptr; }
 };
 
 CompileResult compile(const Query& query, CompileLimits limits = {});

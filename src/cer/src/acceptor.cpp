@@ -21,15 +21,16 @@ bool dominates(const automata::ClockValuation& lo,
 
 }  // namespace
 
-CerAcceptor::CerAcceptor(CompiledQuery compiled)
+CerAcceptor::CerAcceptor(std::shared_ptr<const CompiledQuery> compiled)
     : compiled_(std::move(compiled)) {
+  if (!compiled_) throw core::ModelError("CerAcceptor: null automaton");
   reset();
 }
 
 void CerAcceptor::reset() {
   configs_.clear();
   configs_.push_back(
-      Config{0, automata::ClockValuation(compiled_.num_clocks, 0)});
+      Config{0, automata::ClockValuation(compiled_->num_clocks, 0)});
   next_.clear();
   verdict_ = core::Verdict::Undetermined;
   result_ = {};
@@ -69,10 +70,10 @@ void CerAcceptor::step(core::Symbol symbol, core::Tick at) {
     // is immaterial because every guard's clock is reset on some
     // earlier transition of the same run.
     automata::ClockValuation nu =
-        automata::advance(c.clocks, elapsed, compiled_.clock_cap);
-    const auto [begin, end] = compiled_.out_range(c.state);
+        automata::advance(c.clocks, elapsed, compiled_->clock_cap);
+    const auto [begin, end] = compiled_->out_range(c.state);
     for (std::uint32_t i = begin; i < end; ++i) {
-      const auto& t = compiled_.transitions[i];
+      const auto& t = compiled_->transitions[i];
       if (!t.pred.matches(symbol)) continue;
       if (!t.guard.satisfied(nu)) continue;
       Config succ{t.to, automata::reset(nu, t.resets)};
@@ -97,7 +98,7 @@ void CerAcceptor::step(core::Symbol symbol, core::Tick at) {
 
 bool CerAcceptor::any_accepting() const {
   return std::any_of(configs_.begin(), configs_.end(), [&](const Config& c) {
-    return compiled_.accepting[c.state];
+    return compiled_->accepting[c.state];
   });
 }
 
@@ -115,7 +116,7 @@ core::Verdict CerAcceptor::finish(core::StreamEnd end) {
 }
 
 std::string CerAcceptor::name() const {
-  std::string text = compiled_.source.to_string();
+  std::string text = compiled_->source.to_string();
   constexpr std::size_t kMax = 48;
   if (text.size() > kMax) {
     text.resize(kMax - 3);
@@ -128,11 +129,11 @@ std::unique_ptr<core::OnlineAcceptor> make_online_acceptor(
     const Query& query, CompileLimits limits) {
   CompileResult r = compile(query, limits);
   if (!r.ok()) return nullptr;
-  return std::make_unique<CerAcceptor>(std::move(*r.compiled));
+  return std::make_unique<CerAcceptor>(std::move(r.compiled));
 }
 
 std::unique_ptr<core::OnlineAcceptor> make_online_acceptor(
-    CompiledQuery compiled) {
+    std::shared_ptr<const CompiledQuery> compiled) {
   return std::make_unique<CerAcceptor>(std::move(compiled));
 }
 

@@ -39,23 +39,23 @@ public:
     for (const Entry& e : root.entries) add_transition(0, e);
     if (!error_.empty()) return fail(error_);
 
-    CompiledQuery out;
-    out.num_states = static_cast<std::uint32_t>(preds_.size());
-    out.num_clocks = next_clock_;
-    out.clock_cap = cmax_ + 1;
-    out.accepting.assign(out.num_states, false);
-    for (StateId s : root.exits) out.accepting[s] = true;
+    auto out = std::make_shared<CompiledQuery>();
+    out->num_states = static_cast<std::uint32_t>(preds_.size());
+    out->num_clocks = next_clock_;
+    out->clock_cap = cmax_ + 1;
+    out->accepting.assign(out->num_states, false);
+    for (StateId s : root.exits) out->accepting[s] = true;
     std::stable_sort(transitions_.begin(), transitions_.end(),
                      [](const CompiledQuery::Transition& a,
                         const CompiledQuery::Transition& b) {
                        return a.from < b.from;
                      });
-    out.first_out.assign(out.num_states + 1, 0);
-    for (const auto& t : transitions_) ++out.first_out[t.from + 1];
-    for (std::uint32_t s = 0; s < out.num_states; ++s)
-      out.first_out[s + 1] += out.first_out[s];
-    out.transitions = std::move(transitions_);
-    out.source = query;
+    out->first_out.assign(out->num_states + 1, 0);
+    for (const auto& t : transitions_) ++out->first_out[t.from + 1];
+    for (std::uint32_t s = 0; s < out->num_states; ++s)
+      out->first_out[s + 1] += out->first_out[s];
+    out->transitions = std::move(transitions_);
+    out->source = query;
     CompileResult r;
     r.compiled = std::move(out);
     return r;
@@ -72,7 +72,8 @@ private:
     if (!error_.empty() || !node) return {};
     switch (node->kind) {
       case Node::Kind::Sym: {
-        if (preds_.size() > limits_.max_states) {
+        // preds_ already holds the start state, so this counts it too.
+        if (preds_.size() >= limits_.max_states) {
           error_ = "query too large (state limit)";
           return {};
         }

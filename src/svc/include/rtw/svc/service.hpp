@@ -60,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "rtw/cer/cache.hpp"
 #include "rtw/core/online.hpp"
 #include "rtw/sim/event_queue.hpp"
 #include "rtw/sim/thread_pool.hpp"
@@ -91,7 +92,8 @@ struct ServiceStats {
   std::uint64_t lane_symbols = 0; ///< symbols advanced by the batch kernel
   std::uint64_t lane_waves = 0;   ///< kernel wave dispatches
   std::uint64_t query_compiled = 0;  ///< SubmitQuery opens that compiled
-  std::uint64_t query_rejected = 0;  ///< ... refused by a CompileLimits cap
+  std::uint64_t query_rejected = 0;  ///< ... refused: over a limit or unparsable
+  std::uint64_t query_cache_hits = 0;  ///< ... served from the compile cache
 };
 
 /// Builds the acceptor for a wire-opened session; `profile` is the Open
@@ -156,14 +158,22 @@ public:
   /// those before they reach the manager.
   AdmitResult apply(const WireEvent& event, const AcceptorFactory& factory);
 
-  /// Compiles a SubmitQuery body into a per-session acceptor.  The text
-  /// is already syntax-checked by the wire Decoder, but this method
-  /// re-parses defensively (direct callers exist) and applies the
-  /// CompileLimits resource policy; nullptr refuses the session, with
-  /// the attempt tallied under query_compiled / query_rejected and the
-  /// svc.query.* metrics (including the compile-latency histogram).
+  /// Builds the acceptor for a SubmitQuery body.  Each distinct text is
+  /// compiled once per manager: the outcome -- a shared immutable
+  /// automaton, or a refusal -- is cached under the exact text, and every
+  /// later open of that text gets a fresh acceptor over the same table.
+  /// A miss parses defensively (the wire Decoder already syntax-checked
+  /// the text, but direct callers exist) and applies the CompileLimits
+  /// resource policy.  nullptr refuses the session.  Every call is
+  /// tallied under query_compiled or query_rejected, hits also under
+  /// query_cache_hits; svc.query.compile_ns times real compiles only.
+  /// Thread-safe.
   std::unique_ptr<core::OnlineAcceptor> build_query_acceptor(
       SessionId id, std::string_view query);
+
+  /// Bound on the compile cache's charged size (cer::CompileCache::charge);
+  /// least-recently-used texts are evicted past it.
+  static constexpr std::size_t kQueryCacheBytes = std::size_t{4} << 20;
 
   // ----------------------------------------------------- lifecycle
 
@@ -279,9 +289,11 @@ private:
         shed_ring_full{0}, shed_session_bound{0}, shed_priority{0},
         blocked{0}, stale{0}, evicted{0}, unknown{0}, active{0}, epochs{0},
         batches{0}, lane_symbols{0}, lane_waves{0}, query_compiled{0},
-        query_rejected{0};
+        query_rejected{0}, query_cache_hits{0};
   };
   mutable AtomicStats stats_;
+  /// Last, so the members the data plane touches keep their layout.
+  cer::CompileCache query_cache_{kQueryCacheBytes};
 };
 
 }  // namespace rtw::svc

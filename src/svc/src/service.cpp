@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "rtw/cer/acceptor.hpp"
-#include "rtw/cer/compile.hpp"
 #include "rtw/cer/parser.hpp"
 #include "rtw/obs/metrics.hpp"
 #include "rtw/obs/sink.hpp"
@@ -53,6 +52,7 @@ struct Metrics {
   obs::Gauge& active;
   obs::Counter& query_compiled;
   obs::Counter& query_rejected;
+  obs::Counter& query_cache_hits;
   obs::HistogramMetric& query_compile_ns;
 
   static Metrics& get() {
@@ -70,6 +70,7 @@ struct Metrics {
         obs::MetricsRegistry::instance().gauge("svc.sessions_active"),
         obs::MetricsRegistry::instance().counter("svc.query.compiled"),
         obs::MetricsRegistry::instance().counter("svc.query.rejected"),
+        obs::MetricsRegistry::instance().counter("svc.query.cache_hits"),
         // Compile latency in log2(ns) bins: 2^0 .. 2^32 ns covers a
         // sub-microsecond parse through a pathological multi-second one.
         obs::MetricsRegistry::instance().histogram("svc.query.compile_ns", 0,
@@ -329,28 +330,29 @@ void SessionManager::close(SessionId id, core::StreamEnd end) {
 std::unique_ptr<core::OnlineAcceptor> SessionManager::build_query_acceptor(
     SessionId id, std::string_view query) {
   (void)id;
-  const std::uint64_t begin_ns = steady_ns();
-  std::unique_ptr<core::OnlineAcceptor> acceptor;
-  auto parsed = cer::parse(query);
-  if (parsed.ok()) {
-    auto compiled = cer::compile(*parsed.query);
-    if (compiled.ok()) {
-      acceptor = cer::make_online_acceptor(std::move(*compiled.compiled));
-    }
+  auto cached = query_cache_.find(query);
+  const bool hit = cached.has_value();
+  if (!hit) {
+    const std::uint64_t begin_ns = steady_ns();
+    cer::CompileCache::Outcome compiled;
+    auto parsed = cer::parse(query);
+    if (parsed.ok()) compiled = cer::compile(*parsed.query).compiled;
+    const std::uint64_t elapsed_ns = steady_ns() - begin_ns;
+    cached = query_cache_.insert(query, std::move(compiled));
+    if (obs::enabled())
+      Metrics::get().query_compile_ns.add(
+          static_cast<std::int64_t>(std::bit_width(elapsed_ns | 1) - 1));
   }
-  const std::uint64_t elapsed_ns = steady_ns() - begin_ns;
-  if (acceptor) {
-    stats_.query_compiled.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.query_rejected.fetch_add(1, std::memory_order_relaxed);
-  }
+  const bool ok = *cached != nullptr;
+  (ok ? stats_.query_compiled : stats_.query_rejected)
+      .fetch_add(1, std::memory_order_relaxed);
+  if (hit) stats_.query_cache_hits.fetch_add(1, std::memory_order_relaxed);
   if (obs::enabled()) {
     auto& m = Metrics::get();
-    (acceptor ? m.query_compiled : m.query_rejected).add();
-    m.query_compile_ns.add(
-        static_cast<std::int64_t>(std::bit_width(elapsed_ns | 1) - 1));
+    (ok ? m.query_compiled : m.query_rejected).add();
+    if (hit) m.query_cache_hits.add();
   }
-  return acceptor;
+  return ok ? cer::make_online_acceptor(std::move(*cached)) : nullptr;
 }
 
 AdmitResult SessionManager::apply(const WireEvent& event,
@@ -720,6 +722,8 @@ ServiceStats SessionManager::stats() const {
   s.lane_waves = stats_.lane_waves.load(std::memory_order_relaxed);
   s.query_compiled = stats_.query_compiled.load(std::memory_order_relaxed);
   s.query_rejected = stats_.query_rejected.load(std::memory_order_relaxed);
+  s.query_cache_hits =
+      stats_.query_cache_hits.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -1,22 +1,31 @@
 /// \file test_cer.cpp
 /// The timed-pattern query subsystem: parser, compiler, runtime acceptor,
-/// reference evaluator, and the compiled-vs-reference differential
-/// property (standalone and through SessionManager at 1 and 8 shards).
+/// reference evaluator, the compiled-vs-reference differential property
+/// (standalone and through SessionManager at 1 and 8 shards), and the
+/// compile-once cache with the shared-automaton isolation property.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "proptest.hpp"
 #include "rtw/cer/acceptor.hpp"
+#include "rtw/cer/cache.hpp"
 #include "rtw/cer/compile.hpp"
 #include "rtw/cer/parser.hpp"
 #include "rtw/cer/query.hpp"
 #include "rtw/cer/reference.hpp"
 #include "rtw/core/error.hpp"
+#include "rtw/obs/metrics.hpp"
+#include "rtw/obs/tracer.hpp"
 #include "rtw/svc/service.hpp"
 
 using rtw::core::StreamEnd;
@@ -35,15 +44,16 @@ std::vector<TimedSymbol> word_of(
   return out;
 }
 
-/// Compiles or aborts the test.
-cer::CompiledQuery must_compile(const cer::Query& q,
-                                cer::CompileLimits limits = {}) {
+using Compiled = std::shared_ptr<const cer::CompiledQuery>;
+
+/// Compiles or fails the test.
+Compiled must_compile(const cer::Query& q, cer::CompileLimits limits = {}) {
   auto r = cer::compile(q, limits);
   EXPECT_TRUE(r.ok()) << r.error;
-  return std::move(*r.compiled);
+  return std::move(r.compiled);
 }
 
-Verdict run_to_end(const cer::CompiledQuery& compiled,
+Verdict run_to_end(const Compiled& compiled,
                    std::span<const TimedSymbol> word,
                    StreamEnd end = StreamEnd::EndOfWord) {
   cer::CerAcceptor acceptor(compiled);
@@ -149,20 +159,20 @@ TEST(CerCompile, PositionAutomatonShape) {
   // a ; (b | c)+  -- 3 positions + start; transitions: start->a,
   // a->{b,c}, loop-backs {b,c}x{b,c}.
   auto compiled = must_compile(*cer::parse("a ; (b | c)+").query);
-  EXPECT_EQ(compiled.num_states, 4u);
-  EXPECT_EQ(compiled.num_clocks, 0u);
-  EXPECT_EQ(compiled.transitions.size(), 1u + 2u + 4u);
-  EXPECT_FALSE(compiled.accepting[0]);
+  EXPECT_EQ(compiled->num_states, 4u);
+  EXPECT_EQ(compiled->num_clocks, 0u);
+  EXPECT_EQ(compiled->transitions.size(), 1u + 2u + 4u);
+  EXPECT_FALSE(compiled->accepting[0]);
   std::size_t accepting = 0;
-  for (bool a : compiled.accepting) accepting += a ? 1 : 0;
+  for (bool a : compiled->accepting) accepting += a ? 1 : 0;
   EXPECT_EQ(accepting, 2u);  // b and c positions
 }
 
 TEST(CerCompile, WithinAllocatesClocksAndCapsValuations) {
   auto compiled =
       must_compile(*cer::parse("within(9){ a ; b } ; within(4){ c ; d }").query);
-  EXPECT_EQ(compiled.num_clocks, 2u);
-  EXPECT_EQ(compiled.clock_cap, 10u);  // cmax + 1
+  EXPECT_EQ(compiled->num_clocks, 2u);
+  EXPECT_EQ(compiled->clock_cap, 10u);  // cmax + 1
 }
 
 TEST(CerCompile, LimitsRefuseStructuralBlowups) {
@@ -185,6 +195,23 @@ TEST(CerCompile, LimitsRefuseStructuralBlowups) {
   EXPECT_NE(big.error.find("transition"), std::string::npos);
 
   EXPECT_FALSE(cer::compile(cer::Query{}).ok());  // empty query
+
+  // The state limit counts the start state: a 255-leaf chain is 256
+  // states and compiles, one more leaf is refused.
+  const auto chain = [](int leaves) {
+    cer::Query q = cer::chr('a');
+    for (int i = 1; i < leaves; ++i) q = cer::seq(std::move(q), cer::chr('a'));
+    return q;
+  };
+  auto at_limit = cer::compile(chain(255));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error;
+  EXPECT_EQ(at_limit.compiled->num_states, 256u);
+  auto past_limit = cer::compile(chain(256));
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_NE(past_limit.error.find("state"), std::string::npos);
+  // A two-state ceiling admits one leaf, not `a ; b` (three states).
+  EXPECT_TRUE(cer::compile(cer::chr('a'), {.max_states = 2}).ok());
+  EXPECT_FALSE(cer::compile(chain(2), {.max_states = 2}).ok());
 }
 
 // ===================================================== 3. runtime acceptor
@@ -369,7 +396,7 @@ TEST(CerDifferential, CompiledAcceptorAgreesWithReferenceOnEveryPrefix) {
 
         for (std::size_t len = 0; len <= word.size(); ++len) {
           const std::span<const TimedSymbol> prefix(word.data(), len);
-          cer::CerAcceptor fresh(*compiled.compiled);
+          cer::CerAcceptor fresh(compiled.compiled);
           for (const auto& e : prefix) fresh.feed(e.sym, e.time);
           const bool acc =
               fresh.finish(StreamEnd::EndOfWord) == Verdict::Accepting;
@@ -385,7 +412,7 @@ TEST(CerDifferential, CompiledAcceptorAgreesWithReferenceOnEveryPrefix) {
 
         // Incremental run: never Accepting mid-stream (anchored), and a
         // Rejecting lock must be justified by the reference.
-        cer::CerAcceptor inc(*compiled.compiled);
+        cer::CerAcceptor inc(compiled.compiled);
         for (std::size_t i = 0; i < word.size(); ++i) {
           const Verdict v = inc.feed(word[i].sym, word[i].time);
           if (v == Verdict::Accepting)
@@ -487,10 +514,302 @@ TEST(CerService, CompileLimitRejectionIsARefusedOpenNotACrash) {
   open.profile = nested;
   const auto admitted = manager.apply(open, {});
   EXPECT_EQ(admitted.admit, rtw::svc::Admit::Shed);
+  // The refusal is cached: sending the text again is refused without a
+  // second compile.
+  open.session = 8;
+  EXPECT_EQ(manager.apply(open, {}).admit, rtw::svc::Admit::Shed);
 
   const auto stats = manager.stats();
-  EXPECT_EQ(stats.query_rejected, 1u);
+  EXPECT_EQ(stats.query_rejected, 2u);
   EXPECT_EQ(stats.query_compiled, 0u);
+  EXPECT_EQ(stats.query_cache_hits, 1u);
   EXPECT_EQ(stats.opened, 0u);
   manager.drain();
 }
+
+TEST(CerService, RepeatedTextCompilesOnceAndTimesOnlyRealCompiles) {
+  rtw::obs::Tracer tracer;
+  rtw::obs::set_sink(&tracer);
+  auto& registry = rtw::obs::MetricsRegistry::instance();
+  auto& compile_ns = registry.histogram("svc.query.compile_ns", 0, 32);
+  auto& hits = registry.counter("svc.query.cache_hits");
+  const auto timed_before = compile_ns.snapshot().total();
+  const auto hits_before = hits.value();
+
+  rtw::svc::SessionManager manager(rtw::svc::ShardConfig{},
+                                   rtw::svc::IngressConfig{});
+  for (rtw::svc::SessionId id = 1; id <= 10; ++id)
+    EXPECT_NE(manager.build_query_acceptor(id, "within(4){ a ; b }"),
+              nullptr);
+  for (rtw::svc::SessionId id = 11; id <= 15; ++id)
+    EXPECT_EQ(manager.build_query_acceptor(id, "a ;"), nullptr);
+  rtw::obs::set_sink(nullptr);
+
+  const auto stats = manager.stats();
+  EXPECT_EQ(stats.query_compiled, 10u);
+  EXPECT_EQ(stats.query_rejected, 5u);
+  EXPECT_EQ(stats.query_cache_hits, 13u);
+  EXPECT_EQ(compile_ns.snapshot().total() - timed_before, 2u);
+  EXPECT_EQ(hits.value() - hits_before, 13u);
+}
+
+TEST(CerService, ConcurrentBuildsCountEveryOpenAndOutliveEviction) {
+  rtw::svc::SessionManager manager(rtw::svc::ShardConfig{},
+                                   rtw::svc::IngressConfig{});
+  // Whitespace padding charges every distinct text more than 1/256 of
+  // the cache bound, so the 512 distinct texts below must evict.
+  const std::string pad(rtw::svc::SessionManager::kQueryCacheBytes / 256,
+                        ' ');
+  constexpr int kThreads = 4;
+  constexpr int kDistinctPerThread = 2 * 256 / kThreads;
+  constexpr int kKept = 8;  ///< acceptors per thread fed to the end
+  const std::vector<std::string> repeated = {
+      "a ; b", "within(3){ a ; b }", "(a | b)+", "a ; (b | c)+"};
+  std::string too_many_clocks;
+  for (int i = 0; i < 33; ++i) too_many_clocks += "within(1){ ";
+  too_many_clocks += "a";
+  for (int i = 0; i < 33; ++i) too_many_clocks += " }";
+  std::string too_many_states = "a";
+  for (int i = 1; i < 256; ++i) too_many_states += " ; a";
+  const std::vector<std::string> over_limit = {too_many_clocks,
+                                               too_many_states};
+  const auto distinct = [&](int thread, int i) {
+    return "within(" + std::to_string(1000 + thread * 1000 + i) +
+           "){ (a ; b)+ }" + pad;
+  };
+
+  std::atomic<std::uint64_t> built{0}, refused{0};
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      struct Kept {
+        std::unique_ptr<rtw::core::OnlineAcceptor> acceptor;
+        std::string text;
+        std::vector<TimedSymbol> word;
+      };
+      std::vector<Kept> kept;
+      std::string& failure = failures[t];
+      const auto build = [&](const std::string& text, bool want) {
+        auto acc = manager.build_query_acceptor(0, text);
+        ((acc != nullptr) ? built : refused).fetch_add(1);
+        if ((acc != nullptr) != want && failure.empty())
+          failure = "unexpected outcome for " + text.substr(0, 40);
+        return acc;
+      };
+      for (int i = 0; i < kDistinctPerThread; ++i) {
+        auto acc = build(distinct(t, i), true);
+        if (acc && i < kKept)
+          kept.push_back({std::move(acc), distinct(t, i), {}});
+        build(repeated[static_cast<std::size_t>(i) % repeated.size()], true);
+        if (i % 4 == 0)
+          build(over_limit[static_cast<std::size_t>(i / 4) % 2], false);
+        // The kept acceptors' entries are evicted while they run.
+        for (auto& k : kept) {
+          const TimedSymbol e{Symbol::chr(k.word.size() % 2 ? 'b' : 'a'),
+                              static_cast<Tick>(i)};
+          k.acceptor->feed(e.sym, e.time);
+          k.word.push_back(e);
+        }
+      }
+      for (auto& k : kept) {
+        const bool accepted = k.acceptor->finish(StreamEnd::EndOfWord) ==
+                              Verdict::Accepting;
+        if (accepted != cer::eval_reference(*cer::parse(k.text).query,
+                                            k.word) &&
+            failure.empty())
+          failure = "kept acceptor diverged from the reference";
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& f : failures) EXPECT_TRUE(f.empty()) << f;
+
+  const auto stats = manager.stats();
+  const std::uint64_t calls =
+      kThreads * (2 * kDistinctPerThread + kDistinctPerThread / 4);
+  EXPECT_EQ(built.load() + refused.load(), calls);
+  EXPECT_EQ(stats.query_compiled, built.load());
+  EXPECT_EQ(stats.query_rejected, refused.load());
+  EXPECT_EQ(refused.load(), kThreads * (kDistinctPerThread / 4u));
+  EXPECT_GT(stats.query_cache_hits, 0u);
+  // The first distinct text was never touched again, so it was evicted:
+  // building it once more is a miss.
+  EXPECT_NE(manager.build_query_acceptor(0, distinct(0, 0)), nullptr);
+  EXPECT_EQ(manager.stats().query_cache_hits, stats.query_cache_hits);
+}
+
+// ========================================================= 7. compile cache
+
+namespace {
+
+cer::CompileCache::Outcome compiled_text(std::string_view text) {
+  return cer::compile(*cer::parse(text).query).compiled;
+}
+
+}  // namespace
+
+TEST(CerCache, HitsShareOneAutomatonAndRefusalsAreCached) {
+  cer::CompileCache cache(1 << 20);
+  EXPECT_FALSE(cache.find("a ; b").has_value());
+  const auto first = cache.insert("a ; b", compiled_text("a ; b"));
+  ASSERT_NE(first, nullptr);
+  const auto hit = cache.find("a ; b");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->get(), first.get());
+  // A concurrent miss that compiled the same text loses to the entry.
+  EXPECT_EQ(cache.insert("a ; b", compiled_text("a ; b")).get(), first.get());
+
+  EXPECT_EQ(cache.insert("a ;", nullptr), nullptr);
+  const auto refusal = cache.find("a ;");
+  ASSERT_TRUE(refusal.has_value());
+  EXPECT_EQ(*refusal, nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), cer::CompileCache::charge("a ; b", first.get()) +
+                               cer::CompileCache::charge("a ;", nullptr));
+}
+
+TEST(CerCache, EvictsLeastRecentlyUsedAndNeverFreesAHeldAutomaton) {
+  // Same-shape texts charge the same, so the bound holds exactly three.
+  const std::vector<std::string> texts = {"a ; b", "a ; c", "a ; d", "b ; c"};
+  const std::size_t each =
+      cer::CompileCache::charge(texts[0], compiled_text(texts[0]).get());
+  cer::CompileCache cache(3 * each);
+  for (std::size_t i = 0; i < 3; ++i)
+    cache.insert(texts[i], compiled_text(texts[i]));
+  auto acceptor = cer::make_online_acceptor(*cache.find(texts[1]));
+  std::weak_ptr<const cer::CompiledQuery> held = *cache.find(texts[1]);
+  // Touch texts[0], then texts[1]: texts[2] is now least recently used.
+  ASSERT_TRUE(cache.find(texts[0]).has_value());
+  ASSERT_TRUE(cache.find(texts[1]).has_value());
+  cache.insert(texts[3], compiled_text(texts[3]));
+  EXPECT_LE(cache.bytes(), 3 * each);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_FALSE(cache.find(texts[2]).has_value());
+  EXPECT_TRUE(cache.find(texts[0]).has_value());
+
+  // Evict texts[1] too; its automaton lives on in the acceptor.
+  cache.insert("c ; d", compiled_text("c ; d"));
+  cache.insert("d ; a", compiled_text("d ; a"));
+  EXPECT_FALSE(cache.find(texts[1]).has_value());
+  ASSERT_FALSE(held.expired());
+  acceptor->feed(Symbol::chr('a'), 0);
+  acceptor->feed(Symbol::chr('c'), 1);
+  EXPECT_EQ(acceptor->finish(StreamEnd::EndOfWord), Verdict::Accepting);
+  acceptor.reset();
+  EXPECT_TRUE(held.expired());  // the cache kept no hidden reference
+
+  // An outcome bigger than the whole bound is served but not cached.
+  const std::string huge(4 * each, ' ');
+  EXPECT_NE(cache.insert("a" + huge, compiled_text("a")), nullptr);
+  EXPECT_FALSE(cache.find("a" + huge).has_value());
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+// ================================================ 8. shared automaton state
+
+namespace {
+
+/// Several live sessions per query text, drawn from a small pool of
+/// random queries, fed interleaved in 1-3 symbol runs.  Sessions of one
+/// text share one compiled automaton, so any per-session state kept in
+/// the shared table would leak between them and break the verdicts.
+void run_shared_isolation(unsigned shards) {
+  rtw::svc::ShardConfig shard_cfg;
+  shard_cfg.count = shards;
+  rtw::svc::IngressConfig ingress_cfg;
+  ingress_cfg.ring_capacity = 4096;
+  rtw::svc::SessionManager manager(shard_cfg, ingress_cfg);
+
+  rtw::proptest::Config cfg;
+  cfg.cases = 500;
+  cfg.max_size = 24;
+  cfg.seed ^= shards * 0x27d4eb2fu;
+
+  rtw::svc::SessionId next_id = 1;
+  std::uint64_t opens = 0;
+  std::uint64_t shared_opens = 0;  ///< opens after the first of a text
+  const auto result = rtw::proptest::run_property(
+      "cer_shared_automaton_isolation", cfg,
+      [&](rtw::sim::Xoshiro256ss& rng,
+          std::size_t size) -> std::optional<std::string> {
+        std::vector<cer::Query> pool;
+        const std::size_t texts = 2 + rng.uniform(std::uint64_t{2});
+        for (std::size_t i = 0; i < texts; ++i) {
+          cer::Query q = random_query(rng, 2 + rng.uniform(std::uint64_t{8}));
+          if (!cer::compile(q).ok()) return std::nullopt;
+          pool.push_back(std::move(q));
+        }
+        struct Live {
+          rtw::svc::SessionId id;
+          std::size_t query;
+          std::vector<TimedSymbol> word;
+          std::size_t fed = 0;
+        };
+        std::vector<Live> live;
+        for (std::size_t q = 0; q < pool.size(); ++q) {
+          const std::size_t sessions = 2 + rng.uniform(std::uint64_t{3});
+          for (std::size_t k = 0; k < sessions; ++k) {
+            rtw::svc::WireEvent open;
+            open.kind = rtw::svc::WireEvent::Kind::SubmitQuery;
+            open.session = next_id++;
+            open.profile = pool[q].to_string();
+            if (manager.apply(open, {}).admit != rtw::svc::Admit::Accepted)
+              return "SubmitQuery refused for " + open.profile;
+            ++opens;
+            if (k > 0) ++shared_opens;
+            live.push_back({open.session, q, random_mutated_word(rng, size)});
+          }
+        }
+        std::vector<std::size_t> pending;
+        for (std::size_t i = 0; i < live.size(); ++i)
+          if (!live[i].word.empty()) pending.push_back(i);
+        while (!pending.empty()) {
+          const std::size_t pick = rng.uniform(pending.size());
+          Live& s = live[pending[pick]];
+          const std::size_t n = std::min<std::size_t>(
+              1 + rng.uniform(std::uint64_t{3}), s.word.size() - s.fed);
+          std::vector<TimedSymbol> run(s.word.begin() + s.fed,
+                                       s.word.begin() + s.fed + n);
+          if (manager.feed_batch(s.id, std::move(run)).admit !=
+              rtw::svc::Admit::Accepted)
+            return "run unexpectedly shed";
+          s.fed += n;
+          if (s.fed == s.word.size()) {
+            pending[pick] = pending.back();
+            pending.pop_back();
+          }
+        }
+        for (const Live& s : live) manager.close(s.id, StreamEnd::EndOfWord);
+        manager.drain();
+
+        std::map<rtw::svc::SessionId, Verdict> verdicts;
+        for (const auto& report : manager.collect())
+          verdicts[report.id] = report.verdict;
+        for (const Live& s : live) {
+          const auto it = verdicts.find(s.id);
+          if (it == verdicts.end()) return "no session report collected";
+          const bool acc = it->second == Verdict::Accepting;
+          const bool ref = cer::eval_reference(pool[s.query], s.word);
+          if (acc != ref)
+            return "session=" + std::to_string(acc) +
+                   " reference=" + std::to_string(ref) + " for query " +
+                   pool[s.query].to_string() + " with " +
+                   std::to_string(live.size()) + " live sessions at " +
+                   std::to_string(shards) + " shards";
+        }
+        return std::nullopt;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
+      "cer_shared_automaton_isolation", cfg, *result.failure);
+  const auto stats = manager.stats();
+  EXPECT_EQ(stats.query_compiled, opens);
+  EXPECT_EQ(stats.query_rejected, 0u);
+  // Every open after the first of its text in a case shared an automaton.
+  EXPECT_GE(stats.query_cache_hits, shared_opens);
+}
+
+}  // namespace
+
+TEST(CerSharedAutomaton, OneShard) { run_shared_isolation(1); }
+TEST(CerSharedAutomaton, EightShards) { run_shared_isolation(8); }
